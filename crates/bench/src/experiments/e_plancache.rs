@@ -19,8 +19,9 @@ use crate::fixtures::network_with_rows;
 use crate::table::Table;
 use revere_pdms::PdmsNetwork;
 use revere_query::plan::{plan_cq_with, Strategy};
-use revere_query::eval_cq_bag_traced;
+use revere_query::{eval_cq_bindings_mode, ExecMode};
 use revere_workload::{course_templates, QueryMix, Topology, TopologyKind};
+use revere_util::obs::{Obs, SpanHandle};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -141,6 +142,7 @@ pub fn plan_cache_sweep_with(cfg: PlanCacheConfig) -> Vec<PlanCachePoint> {
         // snapshot — independent of caching, same data both strategies.
         let snapshot = net.snapshot_all();
         let (mut cost_bindings, mut greedy_bindings) = (0usize, 0usize);
+        let (off, none, mode) = (Obs::disabled(), SpanHandle::none(), ExecMode::default());
         for q in &distinct {
             let out = net.query_str("P0", q).expect("trace query runs");
             for d in &out.reformulation.union.disjuncts {
@@ -149,9 +151,9 @@ pub fn plan_cache_sweep_with(cfg: PlanCacheConfig) -> Vec<PlanCachePoint> {
                     (Strategy::Greedy, &mut greedy_bindings),
                 ] {
                     let plan = plan_cq_with(d, &snapshot, strategy);
-                    let (_, steps) =
-                        eval_cq_bag_traced(d, &plan, &snapshot).expect("disjunct evaluates");
-                    *acc += steps.iter().sum::<usize>();
+                    let (_, steps) = eval_cq_bindings_mode(d, &plan, &snapshot, &off, &none, mode)
+                        .expect("disjunct evaluates");
+                    *acc += steps.iter().map(|p| p.bindings).sum::<usize>();
                 }
             }
         }

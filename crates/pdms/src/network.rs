@@ -4,10 +4,11 @@
 //! Internet ... each peer can receive and process requests." The real
 //! Internet is replaced (DESIGN.md §3) by an in-process overlay that
 //! tracks exactly what the distributed system would pay: messages sent,
-//! tuples shipped, peers contacted. Disjuncts of a reformulated query can
-//! be evaluated on worker threads (`std::thread::scope` over the peers'
-//! lock-protected catalogs), standing in for §3.1.2's peer-local query
-//! processing.
+//! tuples shipped, peers contacted. One query pipeline serves
+//! [`PdmsNetwork::query`], [`PdmsNetwork::query_parallel`] and
+//! [`PdmsNetwork::explain_analyze`], with two evaluation modes: inline, or
+//! one scoped thread per disjunct (standing in for §3.1.2's peer-local
+//! query processing). EXPLAIN reports the plans and engine that ran.
 //!
 //! # Degraded execution
 //!
@@ -28,8 +29,12 @@ use crate::updategram::{apply_updategrams, derivation_deltas_readonly, gram_to_b
 use crate::views::{IvmStrategy, MaterializedView};
 use revere_query::dataflow::{Circuit, DeltaBatch};
 use revere_query::glav::GlavMapping;
-use revere_query::plan::{plan_cq, q_error, Plan};
-use revere_query::{parse_query, ConjunctiveQuery, ExecMode, Source, StepProfile, Term, UnionQuery};
+use revere_query::eval::EvalError;
+use revere_query::plan::{plan_cq, q_error, ExplainAnalyze, Plan};
+use revere_query::{
+    eval_cq_bag_profiled_obs_mode, parse_query, ConjunctiveQuery, ExecMode, Source, StepProfile,
+    Term, UnionQuery,
+};
 use revere_storage::{row_deltas, Catalog, Lsn, RelSchema, Relation, SharedCatalog, Tuple};
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Histogram, Obs, SpanHandle};
@@ -61,12 +66,12 @@ pub struct PdmsNetwork {
     /// `pdms.*` metrics. Enabling it never changes answers.
     pub obs: Obs,
     /// The q-error threshold of the estimator feedback loop. After each
-    /// completely-fetched (sequential) query, any executed plan whose
-    /// observed max q-error exceeds this value has its cache entry
-    /// evicted and its measured join selectivities written back into the
-    /// owning peers' statistics (see [`PdmsNetwork::cache_epoch`] — the
-    /// write shifts the epoch, so every cached plan re-plans against the
-    /// new evidence). `None` disables feedback — the E15 ablation
+    /// completely-fetched query (in every pipeline mode), any executed
+    /// plan whose observed max q-error exceeds this value has its cache
+    /// entry evicted and its measured join selectivities written back
+    /// into the owning peers' statistics (see
+    /// [`PdmsNetwork::cache_epoch`] — the write shifts the epoch, so
+    /// every cached plan re-plans against the new evidence). `None` disables feedback — the E15 ablation
     /// baseline. Well-calibrated plans never trigger it, so warm caches
     /// stay warm on workloads the estimator already gets right.
     pub replan_q_error: Option<f64>,
@@ -152,8 +157,8 @@ pub struct PeerAccounting {
     /// timed out.
     pub latency: Histogram,
     /// Worst q-error observed across completely-fetched plans touching
-    /// this owner's relations (0 until a plan has been profiled;
-    /// sequential query path only, like the feedback loop itself).
+    /// this owner's relations (0 until a plan has been profiled; recorded
+    /// by the feedback loop, in every query pipeline mode).
     pub worst_q_error: f64,
 }
 
@@ -469,6 +474,25 @@ pub struct PublishReport {
     pub output_changes: usize,
 }
 
+/// The modes of the one query pipeline ([`PdmsNetwork::run`]), named
+/// after their root spans. Only `Parallel` evaluates off the caller's
+/// thread; `Explain` runs inline and records what executed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Query,
+    Parallel,
+    Explain,
+}
+
+/// One disjunct's plan-and-evaluate step: the plan that ran, its
+/// plan-cache verdict, and (derivations, distinct answers, per-step
+/// profiles) or the error.
+type DisjunctRun = (Plan, &'static str, Result<(usize, Relation, Vec<StepProfile>), EvalError>);
+
+/// What [`Mode::Explain`] records per disjunct: the plan-cache verdict and
+/// the executed plan with its actuals, or why it could not run.
+type Explained = (&'static str, Result<ExplainAnalyze, String>);
+
 /// Internal result of the shared fetch phase.
 struct Fetched {
     staging: Catalog,
@@ -760,9 +784,10 @@ impl PdmsNetwork {
         }
     }
 
-    /// The estimator feedback loop (sequential query path only — worker
-    /// threads would make write order, and thus last-write-wins learned
-    /// values, scheduling-dependent). When a completely-fetched plan's
+    /// The estimator feedback loop, run by the pipeline's merge loop on the
+    /// calling thread in disjunct order (worker threads would make write
+    /// order, and thus last-write-wins learned values,
+    /// scheduling-dependent). When a completely-fetched plan's
     /// observed max q-error exceeds [`PdmsNetwork::replan_q_error`]:
     /// evict exactly that plan's cache entry, and write each
     /// unambiguous (single-pair) join step's measured selectivity
@@ -850,10 +875,9 @@ impl PdmsNetwork {
         }
     }
 
-    /// Fetch phase, shared by [`PdmsNetwork::query`] and
-    /// [`PdmsNetwork::query_parallel`]: snapshot every referenced relation
-    /// that survives the network weather, accounting for every message,
-    /// retry, and gap along the way.
+    /// Fetch phase of the query pipeline ([`PdmsNetwork::run`]): snapshot
+    /// every referenced relation that survives the network weather,
+    /// accounting for every message, retry, and gap along the way.
     fn fetch_phase(&self, at_peer: &str, union: &UnionQuery, parent: &SpanHandle) -> Fetched {
         let mut f = Fetched {
             staging: Catalog::new(),
@@ -1024,14 +1048,26 @@ impl PdmsNetwork {
         f
     }
 
-    /// Pose a parsed query at a peer: reformulate over the mapping graph,
-    /// fetch the needed relations (riding out whatever faults the plan
-    /// injects), evaluate the union over what arrived.
-    pub fn query(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
+    /// The one query pipeline: reformulate and plan through the caches,
+    /// fetch, evaluate every disjunct under [`PdmsNetwork::exec_mode`],
+    /// then consume the results in disjunct order in one loop (feedback,
+    /// span fields, union merge). The only fork is where plan-and-evaluate
+    /// runs: inline, each result merged before the next disjunct is
+    /// evaluated, or on scoped threads joined in spawn order.
+    fn run(
+        &self,
+        at_peer: &str,
+        q: &ConjunctiveQuery,
+        mode: Mode,
+    ) -> Result<(QueryOutcome, Vec<Explained>), String> {
         if !self.peers.contains_key(at_peer) {
             return Err(format!("unknown peer {at_peer:?}"));
         }
-        let root = self.obs.span("pdms.query");
+        let root = self.obs.span(match mode {
+            Mode::Query => "pdms.query",
+            Mode::Parallel => "pdms.query_parallel",
+            Mode::Explain => "pdms.explain_analyze",
+        });
         root.set("peer", at_peer);
         root.set("query", q);
         let epoch = self.cache_epoch();
@@ -1042,11 +1078,16 @@ impl PdmsNetwork {
         rspan.finish();
         let fetched = self.fetch_phase(at_peer, &reformulation.union, &root);
         let cacheable = fetched.completeness.is_complete();
+        let (union, staging) = (&reformulation.union, &fetched.staging);
+        let Some(first) = union.disjuncts.first() else {
+            return Err("eval error: empty union".into());
+        };
+        if union.disjuncts.iter().any(|d| d.head.terms.len() != first.head.terms.len()) {
+            return Err("eval error: union disjuncts have different head arity".into());
+        }
 
-        // Evaluate disjuncts (those whose relations are all staged),
-        // each under a cached-or-fresh plan.
-        let answers = revere_query::eval_union_with(&reformulation.union, &fetched.staging, |d, s| {
-            let span = root.child("pdms.eval.disjunct");
+        // The per-disjunct step, run inline or on a worker thread.
+        let plan_and_eval = |d: &ConjunctiveQuery, span: &SpanHandle| -> DisjunctRun {
             if span.is_recording() {
                 // The canonical form, not `d` itself: reformulation mints
                 // fresh variable names from a process-wide counter, so the
@@ -1054,145 +1095,134 @@ impl PdmsNetwork {
                 // byte-stable — the golden-trace contract needs the latter.
                 span.set("disjunct", d.canonical_key());
             }
-            let (plan, verdict) = self.plan_for(d, s, epoch, cacheable);
+            let (plan, verdict) = self.plan_for(d, staging, epoch, cacheable);
             span.set("plan_cache", verdict);
-            let r = revere_query::eval_cq_bag_profiled_obs_mode(
-                d,
-                &plan,
-                s,
-                &self.obs,
-                &span,
-                self.exec_mode,
-            )
-                .map(|(r, profiles)| {
-                    // Feed actuals back only when the fetch was complete:
-                    // a partial staging would teach the estimator that
-                    // missing data means empty joins.
-                    if cacheable {
-                        self.feed_back(&plan, &profiles);
-                    }
-                    r.distinct()
-                });
-            if let Ok(rel) = &r {
-                span.set("answers", rel.len());
-            }
-            r
-        })
-        .map_err(|e| e.to_string())?;
-        root.set("answers", answers.len());
-        root.set("complete", fetched.completeness.is_complete());
-        Ok(QueryOutcome {
-            answers,
-            reformulation,
-            peers_contacted: fetched.peers_contacted,
-            messages: fetched.messages,
-            tuples_shipped: fetched.tuples_shipped,
-            completeness: fetched.completeness,
-        })
-    }
-
-    /// Parallel variant: evaluate each disjunct on its own scoped thread.
-    /// Same answers, stats, and completeness as [`PdmsNetwork::query`] —
-    /// the fetch phase (and hence the fault schedule) is shared, and only
-    /// disjunct evaluation fans out.
-    pub fn query_parallel(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
-        if !self.peers.contains_key(at_peer) {
-            return Err(format!("unknown peer {at_peer:?}"));
-        }
-        let root = self.obs.span("pdms.query_parallel");
-        root.set("peer", at_peer);
-        root.set("query", q);
-        let epoch = self.cache_epoch();
-        let rspan = root.child("pdms.reformulate");
-        let (reformulation, verdict) = self.reformulate_cached(q);
-        rspan.set("cache", verdict);
-        rspan.set("disjuncts", reformulation.union.disjuncts.len());
-        rspan.finish();
-        let fetched = self.fetch_phase(at_peer, &reformulation.union, &root);
-        let cacheable = fetched.completeness.is_complete();
-
-        let union = &reformulation.union;
-        let staging = &fetched.staging;
-        // Workers record no spans: span order would depend on thread
-        // scheduling and break trace determinism. Metrics counters *are*
-        // commutative, so the per-step `query.eval.*` accounting (incl.
-        // the `step_bindings` histogram) is emitted here exactly as on
-        // the sequential path — `tests/trace_obs.rs` asserts the parity.
-        let results: Vec<Option<Relation>> = std::thread::scope(|s| {
-            let handles: Vec<_> = union
-                .disjuncts
-                .iter()
-                .map(|d| {
-                    s.spawn(move || {
-                        let (plan, _) = self.plan_for(d, staging, epoch, cacheable);
-                        revere_query::eval_cq_bag_planned_mode(
-                            d,
-                            &plan,
-                            staging,
-                            self.exec_mode,
-                            &self.obs,
-                        )
-                        .map(|r| r.distinct())
-                        .ok()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("disjunct worker panicked")).collect()
-        });
-        // Joining in spawn order already fixes the merge order, and
-        // `distinct()` sorts and dedups — so the final row order is a pure
-        // function of the query, independent of thread scheduling, and
-        // identical to the sequential `eval_union` path's normalization.
+            let result = eval_cq_bag_profiled_obs_mode(d, &plan, staging, &self.obs, span, self.exec_mode)
+                .map(|(bag, profiles)| (bag.len(), bag.distinct(), profiles));
+            (plan, verdict, result)
+        };
         let mut merged: Option<Relation> = None;
-        for r in results.into_iter().flatten() {
-            merged = Some(match merged {
-                None => r,
+        let mut explained = Vec::new();
+        let mut consume = |(plan, verdict, result): DisjunctRun, span: &SpanHandle| {
+            // A disjunct over relations that were not staged errs and
+            // contributes nothing; the fetch already reported the gap.
+            let (derivations, answers, profiles) = match result {
+                Ok(r) => r,
+                Err(e) => {
+                    if mode == Mode::Explain {
+                        explained.push((verdict, Err(e.to_string())));
+                    }
+                    return;
+                }
+            };
+            // Feed actuals back only when the fetch was complete: a
+            // partial staging would teach the estimator that missing data
+            // means empty joins. Applied here, on the calling thread in
+            // disjunct order, so the parallel mode learns exactly what the
+            // inline mode does.
+            if cacheable {
+                self.feed_back(&plan, &profiles);
+            }
+            span.set("answers", answers.len());
+            if mode == Mode::Explain {
+                let actual_bindings = profiles.iter().map(|p| p.bindings).collect();
+                let ea = ExplainAnalyze { plan, actual_bindings, derivations, answers: answers.len() };
+                explained.push((verdict, Ok(ea)));
+            }
+            merged = Some(match merged.take() {
+                None => answers,
                 Some(m) => {
                     let schema = m.schema.clone();
                     let mut rows = m.into_rows();
-                    rows.extend(r.into_rows());
+                    rows.extend(answers.into_rows());
                     Relation::with_rows(schema, rows)
                 }
             });
+        };
+        if mode == Mode::Parallel {
+            // Workers record no spans: span order would depend on thread
+            // scheduling and break trace determinism. Metrics counters
+            // *are* commutative, so the per-step `query.eval.*` accounting
+            // is emitted exactly as inline — `tests/trace_obs.rs` asserts
+            // the parity. Joining in spawn order fixes the merge order.
+            let runs: Vec<DisjunctRun> = std::thread::scope(|s| {
+                let handles: Vec<_> = union
+                    .disjuncts
+                    .iter()
+                    .map(|d| {
+                        let step = &plan_and_eval;
+                        s.spawn(move || step(d, &SpanHandle::none()))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("disjunct worker panicked")).collect()
+            });
+            let none = SpanHandle::none();
+            for run in runs {
+                consume(run, &none);
+            }
+        } else {
+            for d in &union.disjuncts {
+                let span = root.child("pdms.eval.disjunct");
+                consume(plan_and_eval(d, &span), &span);
+            }
         }
+        // `distinct()` sorts and dedups, so the final row order is a pure
+        // function of the query in every mode. Every disjunct dropped:
+        // an empty relation of the head's shape.
         let answers = match merged {
             Some(m) => m.distinct(),
-            // Every disjunct dropped: fall back to eval_union for the
-            // correctly-shaped empty relation.
-            None => revere_query::eval_union(union, staging).map_err(|e| e.to_string())?,
+            None => Relation::new(answer_schema(first)),
         };
         root.set("answers", answers.len());
-        root.set("complete", fetched.completeness.is_complete());
-        Ok(QueryOutcome {
+        root.set("complete", cacheable);
+        let outcome = QueryOutcome {
             answers,
             reformulation,
             peers_contacted: fetched.peers_contacted,
             messages: fetched.messages,
             tuples_shipped: fetched.tuples_shipped,
             completeness: fetched.completeness,
-        })
+        };
+        Ok((outcome, explained))
     }
 
-    /// `EXPLAIN ANALYZE` for a query posed at a peer: reformulate and
-    /// fetch exactly as [`PdmsNetwork::query`] would, then render each
-    /// disjunct's plan with estimated vs measured per-step cardinalities
-    /// and q-error (see [`revere_query::plan::explain_analyze`]).
-    /// Disjuncts that cannot be evaluated against the staged data are
-    /// reported inline rather than dropped.
+    /// Pose a parsed query at a peer: reformulate over the mapping graph,
+    /// fetch the needed relations (riding out whatever faults the plan
+    /// injects), evaluate the union over what arrived, one disjunct at a
+    /// time.
+    pub fn query(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
+        Ok(self.run(at_peer, q, Mode::Query)?.0)
+    }
+
+    /// Parallel mode of [`PdmsNetwork::query`]: each disjunct is planned
+    /// and evaluated on its own scoped thread. Same answers, stats,
+    /// completeness, and feedback as [`PdmsNetwork::query`] — only
+    /// plan-and-evaluate fans out. Faster on few heavy disjuncts, slower
+    /// on many tiny ones, and it holds every disjunct's result at once.
+    pub fn query_parallel(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
+        Ok(self.run(at_peer, q, Mode::Parallel)?.0)
+    }
+
+    /// `EXPLAIN ANALYZE` for a query posed at a peer: run it exactly as
+    /// [`PdmsNetwork::query`] does — through the caches, the feedback loop
+    /// and the cache stats — and render what executed: the engine, then
+    /// per disjunct its plan-cache verdict and the plan that ran, with
+    /// estimated vs measured per-step cardinalities and q-error (see
+    /// [`revere_query::plan::ExplainAnalyze`]). Disjuncts that could not
+    /// be evaluated against the staged data are reported inline rather
+    /// than dropped.
     pub fn explain_analyze(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<String, String> {
-        if !self.peers.contains_key(at_peer) {
-            return Err(format!("unknown peer {at_peer:?}"));
-        }
-        let (reformulation, _) = self.reformulate_cached(q);
-        let fetched = self.fetch_phase(at_peer, &reformulation.union, &SpanHandle::none());
+        let (outcome, explained) = self.run(at_peer, q, Mode::Explain)?;
+        let disjuncts = &outcome.reformulation.union.disjuncts;
         let mut out = format!(
-            "explain analyze at {at_peer}: {q}\n{} disjunct(s), fetch {}\n",
-            reformulation.union.disjuncts.len(),
-            fetched.completeness,
+            "explain analyze at {at_peer}: {q}\n{} disjunct(s), engine {}, fetch {}\n",
+            disjuncts.len(),
+            self.exec_mode,
+            outcome.completeness,
         );
-        for (i, d) in reformulation.union.disjuncts.iter().enumerate() {
-            out.push_str(&format!("disjunct {}: {d}\n", i + 1));
-            match revere_query::plan::explain_analyze(d, &fetched.staging) {
+        for (i, (d, (verdict, ea))) in disjuncts.iter().zip(explained).enumerate() {
+            out.push_str(&format!("disjunct {}: {d}\n  plan cache {verdict}\n", i + 1));
+            match ea {
                 Ok(ea) => out.push_str(&ea.to_string()),
                 Err(e) => out.push_str(&format!("  (not evaluable: {e})\n")),
             }
@@ -1930,26 +1960,34 @@ mod tests {
 
     #[test]
     fn feedback_evicts_miscalibrated_plans_and_learns_overlap() {
-        let mut net = join_network();
-        // Hair-trigger threshold: every plan's max q-error is ≥ 1, so
-        // every complete execution feeds back and evicts its own entry.
-        net.replan_q_error = Some(0.5);
-        let q = "q(T, H) :- U.course(T, D), U.dept(D, H)";
-        let out = net.query_str("U", q).unwrap();
-        assert_eq!(out.answers.len(), 3, "{}", out.answers);
-        assert!(net.cache_stats().plan_evictions >= 1, "{}", net.cache_stats());
-        // The observed selectivity landed in the owning peer's catalog...
-        let learned = net.snapshot_all();
-        assert!(!learned.join_stats().is_empty());
-        let sel = learned
-            .join_stats()
-            .overlap("U.course", 1, "U.dept", 0)
-            .expect("the join pair was observed");
-        // 3 bindings out of 3 probes × 2 build rows.
-        assert!((sel - 0.5).abs() < 1e-12, "sel {sel}");
-        // ...and answers stay correct (and identical) on the re-planned path.
-        let again = net.query_str("U", q).unwrap();
-        assert_eq!(again.answers, out.answers);
+        // Both evaluation modes feed back: the parallel mode applies the
+        // actuals on the calling thread, in disjunct order.
+        for parallel in [false, true] {
+            let mut net = join_network();
+            // Hair-trigger threshold: every plan's max q-error is ≥ 1, so
+            // every complete execution feeds back and evicts its own entry.
+            net.replan_q_error = Some(0.5);
+            let q = parse_query("q(T, H) :- U.course(T, D), U.dept(D, H)").unwrap();
+            let run = |net: &PdmsNetwork| {
+                if parallel { net.query_parallel("U", &q) } else { net.query("U", &q) }.unwrap()
+            };
+            let out = run(&net);
+            assert_eq!(out.answers.len(), 3, "parallel={parallel}: {}", out.answers);
+            let stats = net.cache_stats();
+            assert!(stats.plan_evictions >= 1, "parallel={parallel}: {stats}");
+            // The observed selectivity landed in the owning peer's catalog...
+            let learned = net.snapshot_all();
+            assert!(!learned.join_stats().is_empty());
+            let sel = learned
+                .join_stats()
+                .overlap("U.course", 1, "U.dept", 0)
+                .expect("the join pair was observed");
+            // 3 bindings out of 3 probes × 2 build rows.
+            assert!((sel - 0.5).abs() < 1e-12, "parallel={parallel}: sel {sel}");
+            // ...and answers stay correct (and identical) on the re-planned path.
+            let again = run(&net);
+            assert_eq!(again.answers, out.answers);
+        }
     }
 
     #[test]
@@ -2003,13 +2041,49 @@ mod tests {
 
     #[test]
     fn explain_analyze_renders_per_disjunct_tables() {
+        for mode in [ExecMode::Row, ExecMode::Vectorized] {
+            let mut net = university_network();
+            net.exec_mode = mode;
+            let q = parse_query("q(T, E) :- MIT.subject(T, E)").unwrap();
+            // Warm the caches, then EXPLAIN: it must run the cached plans.
+            let warm = net.query("MIT", &q).unwrap();
+            let disjuncts = &warm.reformulation.union.disjuncts;
+            let hits = net.cache_stats().plan_hits;
+            let text = net.explain_analyze("MIT", &q).unwrap();
+            assert_eq!(net.cache_stats().plan_hits, hits + disjuncts.len(), "{text}");
+            assert!(text.contains("explain analyze at MIT"), "{text}");
+            assert!(text.contains(&format!("engine {mode}")), "{text}");
+            assert!(text.contains("disjunct 1:"), "{text}");
+            assert_eq!(text.matches("plan cache hit").count(), disjuncts.len(), "{text}");
+            assert!(text.contains("act bind"), "{text}");
+            assert!(text.contains("q-err"), "{text}");
+            assert!(text.contains("max q-error"), "{text}");
+            // Each rendered table is the cached plan with the step
+            // profiles an execution under `mode` measures.
+            let fetched = net.fetch_phase("MIT", &warm.reformulation.union, &SpanHandle::none());
+            let epoch = net.cache_epoch();
+            for d in disjuncts {
+                let (plan, verdict) = net.plan_for(d, &fetched.staging, epoch, true);
+                assert_eq!(verdict, "hit");
+                let (bag, profiles) = eval_cq_bag_profiled_obs_mode(
+                    d,
+                    &plan,
+                    &fetched.staging,
+                    &Obs::disabled(),
+                    &SpanHandle::none(),
+                    mode,
+                )
+                .unwrap();
+                let executed = ExplainAnalyze {
+                    actual_bindings: profiles.iter().map(|p| p.bindings).collect(),
+                    plan,
+                    derivations: bag.len(),
+                    answers: bag.distinct().len(),
+                };
+                assert!(text.contains(&executed.to_string()), "{executed}\nnot in\n{text}");
+            }
+        }
         let net = university_network();
-        let text = net.explain_analyze_str("MIT", "q(T, E) :- MIT.subject(T, E)").unwrap();
-        assert!(text.contains("explain analyze at MIT"), "{text}");
-        assert!(text.contains("disjunct 1:"), "{text}");
-        assert!(text.contains("act bind"), "{text}");
-        assert!(text.contains("q-err"), "{text}");
-        assert!(text.contains("max q-error"), "{text}");
         assert!(net.explain_analyze_str("Oxford", "q(T) :- Oxford.c(T)").is_err());
     }
 

@@ -5,9 +5,13 @@
 //! MANGROVE's RDF-style queries. It executes an explicit [`Plan`] (see
 //! [`crate::plan`]): a statistics-costed join order over the query's
 //! canonical body, performing one hash join per step with constant and
-//! repeated-variable filters pushed into the hash build. Callers that
-//! already hold a cached plan use [`eval_cq_bag_planned`]; the plain
-//! entry points plan on the fly.
+//! repeated-variable filters pushed into the hash build. Every planned
+//! evaluation goes through one of two functions:
+//! [`eval_cq_bag_profiled_obs_mode`] (answers plus per-step profiles,
+//! traced into a caller's span) and [`eval_cq_bindings_mode`] (the same
+//! join pipeline, stopping before answers are materialized). The plain
+//! entry points ([`eval_cq`], [`eval_cq_bag`], [`eval_cq_bag_planned`])
+//! are one-line conveniences over the first.
 //!
 //! [`eval_naive`] is the differential oracle: a nested-loop evaluator in
 //! textual body order with no indexes and no reordering, slow and
@@ -15,14 +19,14 @@
 //! path to `planned ≡ naive` on generated inputs.
 //!
 //! Two engines execute the same plans behind this facade: the historical
-//! row-at-a-time engine ([`eval_cq_bag_profiled_obs_row`]) and the
-//! columnar batch engine in [`crate::vec`], selected by [`ExecMode`]
-//! (vectorized by default). They are byte-identical in answers, counters,
-//! and step profiles — `tests/differential_vec.rs` gates it.
+//! row-at-a-time engine ([`ExecMode::Row`]) and the columnar batch engine
+//! in [`crate::vec`] ([`ExecMode::Vectorized`], the default). They are
+//! byte-identical in answers, counters, and step profiles —
+//! `tests/differential_vec.rs` gates it.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use crate::plan::{plan_cq, Plan};
-use crate::vec::{eval_cq_bag_profiled_obs_vec, eval_cq_bindings_vec, ExecMode, VecOpts};
+use crate::vec::{eval_bindings_vec, eval_cq_bag_profiled_obs_vec, ExecMode, VecOpts};
 use revere_storage::{Catalog, ColumnarBatch, RelStats, Relation, RelSchema, Tuple, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
 use std::collections::HashMap;
@@ -202,19 +206,8 @@ pub fn eval_cq_bag_planned<S: Source>(
     plan: &Plan,
     catalog: &S,
 ) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_traced(q, plan, catalog)?.0)
-}
-
-/// Like [`eval_cq_bag_planned`], also returning the binding-table size
-/// after each join step (parallel to `plan.order`) — the measured
-/// counterpart of the plan's estimates, used by EXPLAIN-style reporting
-/// and the E13 experiment.
-pub fn eval_cq_bag_traced<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-) -> Result<(Relation, Vec<usize>), EvalError> {
-    eval_cq_bag_traced_obs(q, plan, catalog, &Obs::disabled(), &SpanHandle::none())
+    let (off, none) = (Obs::disabled(), SpanHandle::none());
+    Ok(eval_cq_bag_profiled_obs_mode(q, plan, catalog, &off, &none, ExecMode::default())?.0)
 }
 
 /// What one executed join step measured — the actuals the feedback loop
@@ -231,45 +224,22 @@ pub struct StepProfile {
     pub probes: usize,
 }
 
-/// [`eval_cq_bag_traced`] with full observability: one child span of
-/// `parent` per executed join step (relation, rows scanned, build rows,
-/// probes, output bindings) and `query.eval.*` counters in `obs`.
-/// Execution is identical whether or not `obs`/`parent` record anything —
-/// instrumentation must never change answers (the `trace_obs`
-/// integration test holds this to byte-identity).
-pub fn eval_cq_bag_traced_obs<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Relation, Vec<usize>), EvalError> {
-    let (rel, profiles) = eval_cq_bag_profiled_obs(q, plan, catalog, obs, parent)?;
-    Ok((rel, profiles.iter().map(|p| p.bindings).collect()))
-}
-
-/// The full-fidelity evaluator: like [`eval_cq_bag_traced_obs`] but
-/// returning a complete [`StepProfile`] per plan step (parallel to
-/// `plan.order`), which the PDMS feedback loop turns into observed join
-/// selectivities. The other bag evaluators are thin wrappers over this.
-/// Dispatches on [`ExecMode::default`]; use
-/// [`eval_cq_bag_profiled_obs_mode`] to pick an engine explicitly.
-pub fn eval_cq_bag_profiled_obs<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    eval_cq_bag_profiled_obs_mode(q, plan, catalog, obs, parent, ExecMode::default())
-}
-
-/// [`eval_cq_bag_profiled_obs`] with an explicit engine choice. The two
-/// engines are byte-identical in output (including row order), counters,
-/// span fields, step profiles, and errors — `tests/differential_vec.rs`
-/// gates that equivalence — so the mode only changes *how fast* the same
-/// answer arrives. [`ExecMode::Row`] is the historical per-tuple engine,
-/// kept as the ablation baseline E18 measures against.
+/// The planned bag evaluator every other planned path calls: executes
+/// `plan` under the chosen engine, returning the answers and one
+/// [`StepProfile`] per plan step (parallel to `plan.order`), which the
+/// PDMS feedback loop turns into observed join selectivities. Emits one
+/// child span of `parent` per executed join step (relation, rows scanned,
+/// build rows, probes, output bindings) and `query.eval.*` counters in
+/// `obs`; execution is identical whether or not `obs`/`parent` record
+/// anything (the `trace_obs` integration test holds this to
+/// byte-identity).
+///
+/// The two engines are byte-identical in output (including row order),
+/// counters, span fields, step profiles, and errors —
+/// `tests/differential_vec.rs` gates that equivalence — so the mode only
+/// changes *how fast* the same answer arrives. [`ExecMode::Row`] is the
+/// historical per-tuple engine, kept as the ablation baseline E18
+/// measures against.
 pub fn eval_cq_bag_profiled_obs_mode<S: Source>(
     q: &ConjunctiveQuery,
     plan: &Plan,
@@ -284,20 +254,6 @@ pub fn eval_cq_bag_profiled_obs_mode<S: Source>(
             eval_cq_bag_profiled_obs_vec(q, plan, catalog, obs, parent, &VecOpts::default())
         }
     }
-}
-
-/// [`eval_cq_bag_planned`] with an explicit engine and a metrics sink but
-/// no tracing — the shape the parallel network path wants. Counters
-/// (`query.eval.steps`, `query.eval.step_bindings`, …) are emitted exactly
-/// as on the traced path; only spans are absent.
-pub fn eval_cq_bag_planned_mode<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    mode: ExecMode,
-    obs: &Obs,
-) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_profiled_obs_mode(q, plan, catalog, obs, &SpanHandle::none(), mode)?.0)
 }
 
 /// Realize the bindings of a planned conjunctive query **without
@@ -325,7 +281,8 @@ pub fn eval_cq_bindings_mode<S: Source>(
             eval_bindings_row(q, plan, catalog, obs, parent).map(|(rows, _, t)| (rows.len(), t))
         }
         ExecMode::Vectorized => {
-            eval_cq_bindings_vec(q, plan, catalog, obs, parent, &VecOpts::default())
+            eval_bindings_vec(q, plan, catalog, obs, parent, &VecOpts::default())
+                .map(|(b, t)| (b.rows, t))
         }
     }
 }
@@ -335,7 +292,7 @@ pub fn eval_cq_bindings_mode<S: Source>(
 /// ([`crate::vec`]) as the default, retained as an ablation
 /// ([`ExecMode::Row`]) and as the semantic reference the differential
 /// gate holds the columnar engine to.
-pub fn eval_cq_bag_profiled_obs_row<S: Source>(
+pub(crate) fn eval_cq_bag_profiled_obs_row<S: Source>(
     q: &ConjunctiveQuery,
     plan: &Plan,
     catalog: &S,
@@ -492,10 +449,10 @@ pub fn eval_naive_union<S: Source>(u: &UnionQuery, catalog: &S) -> Result<Relati
     eval_union_with(u, catalog, eval_naive)
 }
 
-/// Union evaluation with a caller-supplied per-disjunct evaluator —
-/// the hook the PDMS uses to execute each disjunct under a cached plan
-/// while keeping [`eval_union`]'s skip-unavailable and dedup semantics.
-pub fn eval_union_with<S, F>(u: &UnionQuery, catalog: &S, eval_one: F) -> Result<Relation, EvalError>
+/// Union evaluation with a caller-supplied per-disjunct evaluator: the
+/// skip-unavailable and dedup semantics [`eval_union`] and
+/// [`eval_naive_union`] share.
+fn eval_union_with<S, F>(u: &UnionQuery, catalog: &S, eval_one: F) -> Result<Relation, EvalError>
 where
     S: Source,
     F: Fn(&ConjunctiveQuery, &S) -> Result<Relation, EvalError>,
@@ -823,9 +780,12 @@ mod tests {
         let c = catalog();
         let q = parse_query("q(T) :- course(I, T, 'cs'), teaches(P, I)").unwrap();
         let plan = crate::plan::plan_cq(&q, &c);
-        let (r, trace) = eval_cq_bag_traced(&q, &plan, &c).unwrap();
-        assert_eq!(trace.len(), plan.order.len());
-        assert_eq!(*trace.last().unwrap(), r.len());
+        let (off, none) = (Obs::disabled(), SpanHandle::none());
+        for mode in [ExecMode::Row, ExecMode::Vectorized] {
+            let (r, trace) = eval_cq_bag_profiled_obs_mode(&q, &plan, &c, &off, &none, mode).unwrap();
+            assert_eq!(trace.len(), plan.order.len());
+            assert_eq!(trace.last().unwrap().bindings, r.len());
+        }
     }
 
     #[test]

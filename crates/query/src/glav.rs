@@ -198,6 +198,16 @@ mod tests {
         assert_eq!(m.head_vars, vec!["T", "S"]);
         assert_eq!(m.gav_rule().body[0].relation, "Berkeley.course");
         assert_eq!(m.lav_view().body[0].relation, "MIT.subject");
+        // Accented relation and variable names parse rather than panic.
+        let m = GlavMapping::parse(
+            "m2",
+            "Paris",
+            "MIT",
+            "m(É) :- Paris.coursé(É) ==> m(É) :- MIT.subject(É)",
+        )
+        .unwrap();
+        assert_eq!(m.head_vars, vec!["É"]);
+        assert_eq!(m.gav_rule().body[0].relation, "Paris.coursé");
     }
 
     #[test]

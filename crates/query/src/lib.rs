@@ -52,12 +52,11 @@ pub use dataflow::{
     AggFn, AggregateState, Arrangement, Circuit, Delta, DeltaBatch, DistinctState, JoinState,
 };
 pub use eval::{
-    eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_planned_mode,
-    eval_cq_bag_profiled_obs, eval_cq_bindings_mode, eval_cq_bag_profiled_obs_mode, eval_cq_bag_profiled_obs_row,
-    eval_cq_bag_traced, eval_cq_bag_traced_obs, eval_naive, eval_naive_bag, eval_naive_union,
-    eval_union, eval_union_with, Source, StepProfile,
+    eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_profiled_obs_mode,
+    eval_cq_bindings_mode, eval_naive, eval_naive_bag, eval_naive_union, eval_union, Source,
+    StepProfile,
 };
-pub use vec::{eval_cq_bag_planned_vec, eval_cq_bag_profiled_obs_vec, eval_cq_bindings_vec, ExecMode, VecOpts};
+pub use vec::{eval_cq_bag_profiled_obs_vec, ExecMode, VecOpts};
 pub use plan::{
     explain_analyze, explain_analyze_with, plan_cq, plan_cq_opts, plan_cq_with, q_error,
     ExplainAnalyze, JoinPair, Plan, PlanStep, Selectivity, Strategy,

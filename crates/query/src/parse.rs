@@ -114,11 +114,12 @@ fn find_cmp_op(s: &str) -> Option<(usize, CmpOp, usize)> {
             i += 1;
             continue;
         }
-        let two = if i + 1 < bytes.len() { &s[i..i + 2] } else { "" };
-        match two {
-            "!=" => return Some((i, CmpOp::Ne, 2)),
-            "<=" => return Some((i, CmpOp::Le, 2)),
-            ">=" => return Some((i, CmpOp::Ge, 2)),
+        // Compare bytes, not `&s[i..i + 2]`: a byte index need not be a
+        // char boundary once identifiers carry non-ASCII letters.
+        match (c, bytes.get(i + 1)) {
+            (b'!', Some(b'=')) => return Some((i, CmpOp::Ne, 2)),
+            (b'<', Some(b'=')) => return Some((i, CmpOp::Le, 2)),
+            (b'>', Some(b'=')) => return Some((i, CmpOp::Ge, 2)),
             _ => {}
         }
         match c {
@@ -202,6 +203,9 @@ mod tests {
     fn dotted_relation_names() {
         let q = parse_query("q(X) :- Berkeley.course(X, T)").unwrap();
         assert_eq!(q.body[0].relation, "Berkeley.course");
+        // Non-ASCII relation names parse rather than panic.
+        let q = parse_query("q(T) :- P0.coursé(T)").unwrap();
+        assert_eq!(q.body[0].relation, "P0.coursé");
     }
 
     #[test]
@@ -215,6 +219,10 @@ mod tests {
     fn underscore_and_uppercase_are_vars() {
         let q = parse_query("q(X) :- r(X, _ignore, Title2)").unwrap();
         assert_eq!(q.body[0].vars().len(), 3);
+        // An accented uppercase initial is a variable too.
+        let q = parse_query("q(É) :- P0.c(É), É != 'x'").unwrap();
+        assert_eq!(q.head.terms[0], Term::Var("É".into()));
+        assert_eq!(q.comparisons[0].op, CmpOp::Ne);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! (`eval::eval_naive`) checks exactly that.
 
 use crate::ast::{ConjunctiveQuery, Term};
-use crate::eval::Source;
+use crate::eval::{eval_cq_bag_profiled_obs_mode, Source};
+use crate::vec::ExecMode;
+use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -143,8 +145,8 @@ impl Plan {
 
 impl Plan {
     /// Render the plan as an `EXPLAIN`-style table, one aligned line per
-    /// join step. With `actuals` (per-step binding counts from
-    /// [`crate::eval::eval_cq_bag_traced`], parallel to `order`) each
+    /// join step. With `actuals` (per-step [`crate::eval::StepProfile`]
+    /// binding counts from an execution, parallel to `order`) each
     /// line gains `act bind` and `q-err` columns — `EXPLAIN ANALYZE`.
     /// Column widths are computed from the estimate side only, so the
     /// shared prefix of every line is byte-identical with and without
@@ -282,9 +284,11 @@ pub fn explain_analyze_with<S: Source>(
     selectivity: Selectivity,
 ) -> Result<ExplainAnalyze, crate::eval::EvalError> {
     let plan = plan_cq_opts(q, source, strategy, selectivity);
-    let (rel, actual_bindings) = crate::eval::eval_cq_bag_traced(q, &plan, source)?;
+    let (off, none) = (Obs::disabled(), SpanHandle::none());
+    let (rel, profiles) = eval_cq_bag_profiled_obs_mode(q, &plan, source, &off, &none, ExecMode::default())?;
     let derivations = rel.len();
     let answers = rel.distinct().len();
+    let actual_bindings = profiles.iter().map(|p| p.bindings).collect();
     Ok(ExplainAnalyze { plan, actual_bindings, derivations, answers })
 }
 

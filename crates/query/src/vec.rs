@@ -19,8 +19,9 @@
 //! claim fixed-size morsels from an atomic counter, each morsel's output
 //! lands in its own slot, and slots are concatenated in morsel order — a
 //! pure function of the input, independent of thread scheduling (the
-//! same discipline as `PdmsNetwork::query_parallel`). Workers never touch
-//! the tracer or metrics; the coordinator emits per-step totals once.
+//! same discipline as the PDMS query pipeline's parallel mode). Workers
+//! never touch the tracer or metrics; the coordinator emits per-step
+//! totals once.
 //!
 //! The row engine remains available as an ablation via [`ExecMode::Row`];
 //! `tests/differential_vec.rs` holds the two engines and the nested-loop
@@ -151,10 +152,10 @@ where
 /// The columnar binding table: one column per bound variable, `rows`
 /// logical rows. Starts as the row engine does — zero columns, one empty
 /// binding.
-struct Bindings {
+pub(crate) struct Bindings {
     names: Vec<String>,
     cols: Vec<ColumnVec>,
-    rows: usize,
+    pub(crate) rows: usize,
 }
 
 /// One step's hash index over the filtered build rows, in the tightest
@@ -380,8 +381,9 @@ fn resolve_term(t: &Term, names: &[String]) -> Resolved {
     }
 }
 
-/// The full-fidelity vectorized evaluator: the columnar counterpart of
-/// [`crate::eval::eval_cq_bag_profiled_obs_row`], same plan, same
+/// The full-fidelity vectorized evaluator with explicit engine options:
+/// the columnar counterpart of the row engine behind
+/// [`crate::eval::eval_cq_bag_profiled_obs_mode`], same plan, same
 /// counters and spans, same errors, byte-identical output row order.
 pub fn eval_cq_bag_profiled_obs_vec<S: Source>(
     q: &ConjunctiveQuery,
@@ -425,9 +427,9 @@ pub fn eval_cq_bag_profiled_obs_vec<S: Source>(
 }
 
 /// The vectorized engine's binding-realization core: everything up to
-/// (not including) head projection. [`eval_cq_bindings_vec`] exposes the
-/// counts; the bag evaluator materializes answers on top.
-fn eval_bindings_vec<S: Source>(
+/// (not including) head projection. [`crate::eval::eval_cq_bindings_mode`]
+/// exposes the counts; the bag evaluator materializes answers on top.
+pub(crate) fn eval_bindings_vec<S: Source>(
     q: &ConjunctiveQuery,
     plan: &Plan,
     catalog: &S,
@@ -551,33 +553,6 @@ fn eval_bindings_vec<S: Source>(
         bind.rows = keep.count_ones();
     }
     Ok((bind, trace))
-}
-
-/// Realize bindings without materializing answers — the vectorized side
-/// of [`crate::eval::eval_cq_bindings_mode`]. Same pipeline, counters,
-/// and spans as [`eval_cq_bag_profiled_obs_vec`]; only the head
-/// projection (answer copy-out) is skipped.
-pub fn eval_cq_bindings_vec<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-    opts: &VecOpts,
-) -> Result<(usize, Vec<StepProfile>), EvalError> {
-    eval_bindings_vec(q, plan, catalog, obs, parent, opts).map(|(b, t)| (b.rows, t))
-}
-
-/// Bag evaluation under a caller-supplied plan with explicit engine
-/// options — the entry point the morsel byte-identity tests sweep.
-pub fn eval_cq_bag_planned_vec<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    opts: &VecOpts,
-) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_profiled_obs_vec(q, plan, catalog, &Obs::disabled(), &SpanHandle::none(), opts)?
-        .0)
 }
 
 #[cfg(test)]

@@ -77,12 +77,9 @@ pub mod prelude {
         XmlMapping,
     };
     pub use revere_query::{
-        contained_in, eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_planned_mode,
-        eval_cq_bag_planned_vec, eval_cq_bag_profiled_obs, eval_cq_bag_profiled_obs_mode,
-        eval_cq_bag_profiled_obs_row, eval_cq_bag_profiled_obs_vec, eval_cq_bag_traced,
-        eval_cq_bindings_mode, eval_cq_bindings_vec,
-        eval_naive, eval_naive_bag, eval_naive_union, eval_union, explain_analyze,
-        explain_analyze_with, minimize, parse_query, plan_cq, plan_cq_opts, plan_cq_with, q_error,
+        contained_in, eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_profiled_obs_mode,
+        eval_cq_bag_profiled_obs_vec, eval_cq_bindings_mode, eval_naive, eval_naive_bag,
+        eval_naive_union, eval_union, explain_analyze, explain_analyze_with, minimize, parse_query, plan_cq, plan_cq_opts, plan_cq_with, q_error,
         rewrite_using_views, unfold_with, AggFn, AggregateState, Arrangement, Circuit,
         ConjunctiveQuery, Delta, DeltaBatch, DistinctState, ExecMode, ExplainAnalyze, GlavMapping,
         JoinState, Plan, Selectivity, StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,

@@ -9,6 +9,13 @@ RUSTFLAGS="-D warnings" cargo build --release --offline
 cargo test -q --offline
 cargo bench --no-run --offline
 
+# Benchmark build: `perfbench/` is a package of its own outside the
+# workspace, so the steps above never compile it. It calls the public
+# evaluator, planner and network API by name; building it here turns a
+# rename that would break the benchmark into a failed gate. Build only —
+# its lockfile and target dir are git-ignored.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Chaos gate: the fault-injection suite must hold under several fixed
 # seeds (its assertions are seed-independent invariants — determinism,
 # reported gaps, exactly-once application). Override the seed set with

@@ -187,7 +187,8 @@ fn opts_sweep() -> Vec<(&'static str, VecOpts)> {
 }
 
 fn run_row(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog) -> Result<Relation, String> {
-    eval_cq_bag_profiled_obs_row(q, plan, c, &Obs::disabled(), &SpanHandle::none())
+    let (off, none) = (Obs::disabled(), SpanHandle::none());
+    eval_cq_bag_profiled_obs_mode(q, plan, c, &off, &none, ExecMode::Row)
         .map(|(r, _)| r)
         .map_err(|e| e.to_string())
 }
